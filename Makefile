@@ -1,7 +1,7 @@
 # Development targets. The repo is pure Go with no dependencies; every
 # target is a thin wrapper so CI and humans run the same commands.
 
-.PHONY: build test race race-regress vet lint bench bench-realm bench-coldstart coldstart-smoke sim verify ci fuzz cover
+.PHONY: build test race race-regress vet lint bench bench-selftest bench-realm bench-coldstart coldstart-smoke sim verify ci fuzz cover
 
 build:
 	go build ./...
@@ -57,6 +57,11 @@ ci: vet lint build race cover fuzz
 bench:
 	sh scripts/bench.sh
 	sh scripts/bench_kprop.sh
+
+# Repo benchmark smoke (BENCHMARK.json, perfbench/): a short low-rate
+# pass of every workload, checking metric names, units and failures.
+bench-selftest:
+	bash perfbench/run.sh --selftest
 
 # Realm capacity analysis: calibrate per-exchange cost, binary-search
 # the max sustainable QPS per topology, write BENCH_realm.json.

@@ -29,6 +29,7 @@ var allocGuards = map[string]struct{ testFile, testName string }{
 	"internal/kdb.(*Database).Key":               {"internal/kdb/keycache_test.go", "TestKeyCacheHit"},
 	"internal/kdb.(*Database).GetRO":             {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
 	"internal/kdb.(*EpochStore).FetchSharedPair": {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
+	"internal/kdc.(*Server).Handle":              {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
 	"internal/kdc.(*Server).HandleBatch":         {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
 	"internal/replay.(*Cache).Seen":              {"internal/replay/replay_test.go", "TestSeenReplayCheckAllocs"},
 	"internal/obs.(*Counter).Inc":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},

@@ -90,7 +90,7 @@ type SegmentStore struct {
 	done       chan struct{}
 	closeOnce  sync.Once
 	wg         sync.WaitGroup
-	compactMu  sync.Mutex // one compaction at a time
+	compactMu  sync.Mutex // one base install (Compact or ReplaceAll) at a time; taken before fileMu
 	compactErr error
 	compacts   int // completed compactions (tests)
 }
@@ -798,8 +798,12 @@ func (s *SegmentStore) Len() int { return s.mem.Len() }
 // ReplaceAll implements Store: bulk replacement (propagation install,
 // LoadDump) writes a fresh base snapshot and starts an empty segment —
 // the one legitimately whole-file write left, and it is O(new
-// contents).
+// contents). It holds compactMu first, the order Compact uses: a
+// compaction installing its fold of the old base after this write
+// would resurrect the replaced contents and serial on restart.
 func (s *SegmentStore) ReplaceAll(entries []*Entry) {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
 	meta := s.lastMeta

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -327,5 +328,47 @@ func TestSegmentStoreReplaceAllStartsFresh(t *testing.T) {
 	db2, _ := openSegDB(t, dir, 1, SegmentOptions{})
 	if db2.Len() != 7 || db2.Serial() != src.Serial() || db2.Digest() != src.Digest() {
 		t.Fatalf("after LoadDump+reopen: len %d lineage (%d, %x)", db2.Len(), db2.Serial(), db2.Digest())
+	}
+}
+
+// TestSegmentStoreReplaceAllVsCompact races a compaction against a bulk
+// replacement (a kprop full resync). The compaction folds the old base
+// and sealed segments; if its install could land after ReplaceAll's, the
+// reopened store would come back with the pre-resync contents and
+// serial. ReplaceAll must therefore serialize with Compact, not just
+// with appends.
+func TestSegmentStoreReplaceAllVsCompact(t *testing.T) {
+	src := newTestDB(t)
+	addN(t, src, 7)
+	dump := src.Dump()
+	for iter := 0; iter < 20; iter++ {
+		dir := filepath.Join(t.TempDir(), fmt.Sprint(iter))
+		db, segs := openSegDB(t, dir, 1, SegmentOptions{SegmentBytes: 256, CompactAfter: 1 << 20, NoFsync: true})
+		addN(t, db, 40)
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			segs[0].Compact() // may fail if ReplaceAll deleted its inputs; never corrupts
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := db.LoadDump(dump); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		segs[0].Close()
+
+		db2, _ := openSegDB(t, dir, 1, SegmentOptions{})
+		if db2.Len() != 7 || db2.Serial() != src.Serial() || db2.Digest() != src.Digest() {
+			t.Fatalf("iteration %d: after ReplaceAll racing Compact, reopen gives len %d lineage (%d, %x), want len 7 lineage (%d, %x)",
+				iter, db2.Len(), db2.Serial(), db2.Digest(), src.Serial(), src.Digest())
+		}
 	}
 }

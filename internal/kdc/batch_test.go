@@ -62,8 +62,8 @@ func openBatchReply(t *testing.T, raw []byte, key des.Key) *core.EncTicketReply 
 // TestHandleBatchMixed drives one batch carrying every request shape at
 // once — valid AS, valid TGS, garbage, unknown principal, corrupt
 // ticket, and an in-batch duplicate — and checks each lane gets exactly
-// the reply the scalar path would have produced, with failures isolated
-// from their neighbours.
+// the reply it would have got alone through Handle, with failures
+// isolated from their neighbours.
 func TestHandleBatchMixed(t *testing.T) {
 	r := newRealm(t, testRealm)
 	tgs := core.TGSPrincipal(testRealm, testRealm)
@@ -111,7 +111,7 @@ func TestHandleBatchMixed(t *testing.T) {
 		t.Errorf("lane 5: TGT reply server = %v, want %v", enc.Server, tgs)
 	}
 	// The duplicate arrived before its twin's reply existed, so like two
-	// concurrent scalar requests the second is rejected as a replay.
+	// concurrent Handle calls the second is rejected as a replay.
 	if code := protoCode(t, batch[6].Reply); code != core.ErrRepeat {
 		t.Errorf("lane 6: in-batch duplicate got %v, want %v", code, core.ErrRepeat)
 	}
@@ -120,7 +120,7 @@ func TestHandleBatchMixed(t *testing.T) {
 // TestHandleBatchLargeAS pushes a batch wide enough (48 ≥ the bitslice
 // threshold) that both seal phases run through the bitsliced engine, and
 // proves the batch-issued tickets are real: every reply opens under the
-// client key, and a TGT issued by the batch drives a scalar TGS
+// client key, and a TGT issued by the batch drives a depth-1 TGS
 // exchange end to end.
 func TestHandleBatchLargeAS(t *testing.T) {
 	r := newRealm(t, testRealm)
@@ -155,10 +155,10 @@ func TestHandleBatchLargeAS(t *testing.T) {
 			t.Fatalf("lane %d: server = %v, want %v", i, enc.Server, svc)
 		}
 	}
-	// A batch-issued TGT must satisfy the scalar TGS path.
+	// A batch-issued TGT must satisfy a depth-1 TGS exchange.
 	raw, _ := r.tgsExchange(t, tgtEnc, svc, core.MaxLife, testRealm)
 	if err := core.IfErrorMessage(raw); err != nil {
-		t.Fatalf("scalar TGS with batch-issued TGT: %v", err)
+		t.Fatalf("depth-1 TGS with batch-issued TGT: %v", err)
 	}
 }
 
@@ -188,8 +188,8 @@ func TestHandleBatchLargeTGS(t *testing.T) {
 			t.Fatalf("lane %d: server = %v, want %v", i, enc.Server, svc)
 		}
 	}
-	// Byte-identical retransmission of a batched request, later and over
-	// the scalar path, is answered with the remembered reply.
+	// Byte-identical retransmission of a batched request, later and
+	// through Handle, is answered with the remembered reply.
 	retrans := r.server.Handle(batch[7].Msg, wsAddr)
 	if !bytes.Equal(retrans, batch[7].Reply) {
 		t.Error("retransmit of a batched TGS request was not answered with the original reply")
@@ -199,10 +199,11 @@ func TestHandleBatchLargeTGS(t *testing.T) {
 	}
 }
 
-// TestHandleBatchDepth1FastPath checks a batch of one bypasses the
-// staging pipeline entirely: no batch crypto calls at all (neither
-// counter moves), just the scalar Handle.
-func TestHandleBatchDepth1FastPath(t *testing.T) {
+// TestHandleBatchDepth1 checks a batch of one runs the same pipeline
+// as any other batch, with the DES work of a lone request: an AS
+// exchange seals a ticket and a reply, so exactly two scalar DES
+// operations and no bitsliced pass.
+func TestHandleBatchDepth1(t *testing.T) {
 	r := newRealm(t, testRealm)
 	svc := core.Principal{Name: "rlogin", Instance: "priam", Realm: testRealm}
 	batch := []BatchRequest{{Msg: r.asReqBytes("jis", svc), From: wsAddr}}
@@ -210,9 +211,11 @@ func TestHandleBatchDepth1FastPath(t *testing.T) {
 	passesBefore, scalarBefore := des.BatchCounters()
 	r.server.HandleBatch(batch)
 	passesAfter, scalarAfter := des.BatchCounters()
-	if passesAfter != passesBefore || scalarAfter != scalarBefore {
-		t.Errorf("depth-1 batch touched the batch crypto engine: passes %d→%d, scalar %d→%d",
-			passesBefore, passesAfter, scalarBefore, scalarAfter)
+	if passesAfter != passesBefore {
+		t.Errorf("depth-1 batch ran %d bitsliced passes, want 0", passesAfter-passesBefore)
+	}
+	if got := scalarAfter - scalarBefore; got != 2 {
+		t.Errorf("depth-1 AS batch ran %d scalar DES ops, want 2 (ticket seal + reply seal)", got)
 	}
 	if enc := openBatchReply(t, batch[0].Reply, r.userKey); enc.Server != svc {
 		t.Errorf("server = %v, want %v", enc.Server, svc)
@@ -227,8 +230,8 @@ func TestHandleBatchDepth1FastPath(t *testing.T) {
 	}
 }
 
-// TestHandleBatchMetrics checks the batch path feeds the same request
-// counters and latency histograms as the scalar path.
+// TestHandleBatchMetrics checks a batch feeds the request counters and
+// latency histograms once per request, as Handle does.
 func TestHandleBatchMetrics(t *testing.T) {
 	r := newRealm(t, testRealm)
 	tgs := core.TGSPrincipal(testRealm, testRealm)
@@ -264,25 +267,70 @@ func TestHandleBatchMetrics(t *testing.T) {
 	}
 }
 
-// TestHandleBatchAllocs bounds the batch pipeline's allocation budget:
-// per-request work (decode, payload buffers, seal outputs, the encoded
-// reply) is allowed, but nothing superlinear — the staging arrays are
-// sized once and the bitsliced scratch is pooled.
+// TestHandleBatchAllocs bounds the pipeline's allocation budget for
+// both exchanges at depth 1 (Handle) and at a bitsliced depth of 48
+// (HandleBatch). Per-request work (decode, payload buffers, seal
+// outputs, the encoded reply) is allowed, but nothing for staging: the
+// staging slices and the bitsliced scratch are pooled. The depth-1
+// budgets are what Handle allocated when it was a separate scalar path
+// (12 for AS, 25 for TGS), so running it through the pipeline costs no
+// allocation.
 func TestHandleBatchAllocs(t *testing.T) {
 	r := newRealm(t, testRealm)
+	tgs := core.TGSPrincipal(testRealm, testRealm)
 	svc := core.Principal{Name: "rlogin", Instance: "priam", Realm: testRealm}
-	const n = 48
-	batch := make([]BatchRequest, n)
-	for i := range batch {
-		batch[i] = BatchRequest{Msg: r.asReqBytes("jis", svc), From: wsAddr}
-	}
-	r.server.HandleBatch(batch) // warm key caches and scratch pools
-	allocs := testing.AllocsPerRun(20, func() {
-		r.server.HandleBatch(batch)
-	})
-	const perRequest = 24
-	if allocs > n*perRequest {
-		t.Errorf("HandleBatch of %d: %.0f allocs/run, want <= %d (%d per request)",
-			n, allocs, n*perRequest, perRequest)
+	tgt := r.asExchange(t, tgs, core.DefaultTGTLife)
+
+	const runs = 20
+	stamp := 0 // distinct authenticator stamps keep TGS requests out of the replay cache
+	for _, tc := range []struct {
+		name       string
+		tgs        bool
+		depth      int
+		perRequest float64
+	}{
+		{"AS/depth1", false, 1, 12},
+		{"TGS/depth1", true, 1, 25},
+		{"AS/depth48", false, 48, 24},
+		{"TGS/depth48", true, 48, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.depth == 1 {
+				t.Skip("depth-1 budgets are exact; sync.Pool drops Puts at random under the race detector")
+			}
+			// AllocsPerRun makes one warm-up call, then runs more.
+			batches := make([][]BatchRequest, runs+2)
+			for b := range batches {
+				batches[b] = make([]BatchRequest, tc.depth)
+				for i := range batches[b] {
+					msg := r.asReqBytes("jis", svc)
+					if tc.tgs {
+						msg = r.tgsReqBytes(tgt, svc, t0.Add(time.Duration(stamp)*time.Microsecond))
+						stamp++
+					}
+					batches[b][i] = BatchRequest{Msg: msg, From: wsAddr}
+				}
+			}
+			next := 0
+			run := func() {
+				batch := batches[next]
+				next++
+				if len(batch) == 1 {
+					batch[0].Reply = r.server.Handle(batch[0].Msg, batch[0].From)
+					return
+				}
+				r.server.HandleBatch(batch)
+			}
+			run() // warm key caches and scratch pools
+			allocs := testing.AllocsPerRun(runs, run)
+			if budget := float64(tc.depth) * tc.perRequest; allocs > budget {
+				t.Errorf("%.0f allocs/run, want <= %.0f (%.0f per request)", allocs, budget, tc.perRequest)
+			}
+			for i, br := range batches[0] {
+				if err := core.IfErrorMessage(br.Reply); err != nil {
+					t.Fatalf("lane %d: %v", i, err)
+				}
+			}
+		})
 	}
 }

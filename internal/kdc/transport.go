@@ -24,9 +24,9 @@ import (
 // socket into a fixed ring of packet slots, and one handler goroutine
 // drains the ring in bursts through Server.HandleBatch, so a loaded
 // socket naturally presents multi-request batches to the bitsliced
-// crypto engine. A lone datagram flows straight through (HandleBatch's
-// depth-1 fast path is the scalar Handle), so idle-load latency is the
-// same as a direct dispatch. Replies are written back coalesced, one
+// crypto engine. A lone datagram is a batch of one — the same pipeline
+// run Handle makes, with scalar DES and no gather delay — so idle-load
+// latency is the same as a direct dispatch. Replies are written back coalesced, one
 // sendto per datagram — portable stdlib I/O; without golang.org/x/sys
 // there is no recvmmsg/sendmmsg, so the batching win here is in the
 // crypto and the handoff, not in syscall count. If the handler falls
@@ -176,7 +176,7 @@ func (l *Listener) Close() error {
 // directly into the next free slot's buffer — no copy between the
 // socket and the batch — publishes it with the head store, and nudges
 // the handler. When the ring is full the handler is saturated, so the
-// reader serves the datagram inline with the scalar path instead of
+// reader serves the datagram inline through Handle instead of
 // dropping it or queueing without bound; while it does, the kernel
 // socket buffer absorbs the burst.
 func (l *Listener) udpReader() {
@@ -527,15 +527,6 @@ func exchangeTCPDeadline(dial TCPDial, addr string, req []byte, deadline time.Ti
 		return nil, err
 	}
 	return ReadFrame(conn)
-}
-
-// ExchangeAny asks a realm's KDCs until one answers — the availability
-// mechanism of §5.3: "If the master machine is down, authentication can
-// still be achieved on one of the slave machines." It is a stateless
-// convenience over Selector; callers doing repeated exchanges should
-// hold a Selector so the last-responsive KDC is remembered.
-func ExchangeAny(addrs []string, req []byte, timeout time.Duration) ([]byte, error) {
-	return NewSelector(addrs...).Exchange(req, timeout)
 }
 
 func addrOf(ip net.IP) core.Addr { return core.AddrFromIP(ip) }

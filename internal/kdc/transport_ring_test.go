@@ -62,9 +62,10 @@ func TestUDPRingBatchesBurst(t *testing.T) {
 	}
 }
 
-// TestUDPRingIdleLatencyPath checks a lone datagram takes the depth-1
-// fast path: exactly one handled request, batch size 1, no bitsliced
-// staging — idle-load latency is scalar latency.
+// TestUDPRingIdleLatencyPath checks a lone datagram is handled as a
+// depth-1 batch: exactly one handled request, batch size 1, no gather
+// delay — so its DES work runs scalar, with no bitsliced pass to wait
+// for, and idle-load latency is one request's latency.
 func TestUDPRingIdleLatencyPath(t *testing.T) {
 	r, l := serveRealm(t)
 	reply, err := Exchange(l.Addr(), asReqBytes(r), 2*time.Second)

@@ -89,22 +89,23 @@ func TestTCPExchange(t *testing.T) {
 	}
 }
 
-func TestExchangeAnyFailover(t *testing.T) {
+// TestSelectorExchangeFailover drives a Selector over real sockets:
+// a refused first address falls back to the live KDC (§5.3
+// availability), and an empty or refused-only list fails.
+func TestSelectorExchangeFailover(t *testing.T) {
 	r, l := serveRealm(t)
-	// First address is a dead port; client falls back to the live slave
-	// (§5.3 availability).
 	dead := "127.0.0.1:1" // reserved port, nothing listens
-	reply, err := ExchangeAny([]string{dead, l.Addr()}, asReqBytes(r), 500*time.Millisecond)
+	reply, err := NewSelector(dead, l.Addr()).Exchange(asReqBytes(r), 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := core.IfErrorMessage(reply); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExchangeAny(nil, asReqBytes(r), time.Second); err == nil {
+	if _, err := NewSelector().Exchange(asReqBytes(r), time.Second); err == nil {
 		t.Error("empty KDC list accepted")
 	}
-	if _, err := ExchangeAny([]string{dead}, asReqBytes(r), 200*time.Millisecond); err == nil {
+	if _, err := NewSelector(dead).Exchange(asReqBytes(r), 200*time.Millisecond); err == nil {
 		t.Error("dead-only KDC list succeeded")
 	}
 }
